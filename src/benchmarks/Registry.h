@@ -22,6 +22,7 @@
 #include "ir/Type.h"
 
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,12 @@ struct BenchmarkSpec {
   int PaperFilters;
   int PaperPeeking;
 };
+
+/// Prints the benchmark's name, so gtest names parameterized tests by
+/// it rather than by the struct's raw bytes.
+inline void PrintTo(const BenchmarkSpec &Spec, std::ostream *OS) {
+  *OS << Spec.Name;
+}
 
 /// All eight Table I benchmarks in the paper's order.
 const std::vector<BenchmarkSpec> &allBenchmarks();

@@ -30,9 +30,6 @@ struct CandidateOutcome {
   long long LpSolves = 0;
   long long SimplexIters = 0;
   long long Pivots = 0;
-  double BusySeconds = 0.0;
-  double WorkerSeconds = 0.0;
-  long long Steals = 0;
   long long WarmStarts = 0;
   double WallSeconds = 0.0;
 };
@@ -45,7 +42,7 @@ CandidateOutcome evaluateCandidate(const StreamGraph &G,
                                    const ExecutionConfig &Config,
                                    const GpuSteadyState &GSS,
                                    const SchedulerOptions &Options, double T,
-                                   bool AllowIlp, int MilpWorkers,
+                                   bool AllowIlp,
                                    const SimplexBasis *Seed,
                                    const MachineModel *Machine) {
   CandidateOutcome Out;
@@ -73,7 +70,6 @@ CandidateOutcome evaluateCandidate(const StreamGraph &G,
       MO.TimeBudgetSeconds = Options.TimeBudgetSeconds;
       MO.MaxNodes = Options.MaxIlpNodes;
       MO.LpIterationLimit = Options.MaxLpIterations;
-      MO.NumWorkers = MilpWorkers;
       if (Seed)
         MO.WarmBasis = *Seed; // Same LP shape at every candidate II.
       std::optional<std::vector<double>> Incumbent;
@@ -85,9 +81,6 @@ CandidateOutcome evaluateCandidate(const StreamGraph &G,
       Out.LpSolves = MR.LpSolves;
       Out.SimplexIters = MR.SimplexIterations;
       Out.Pivots = MR.Pivots;
-      Out.BusySeconds = MR.BusySeconds;
-      Out.WorkerSeconds = MR.WorkerSeconds;
-      Out.Steals = MR.Steals;
       Out.WarmStarts = MR.WarmLpStarts;
       if (MR.hasSolution()) {
         SwpSchedule S = M->decode(MR.X);
@@ -123,9 +116,6 @@ void accumulate(ScheduleResult &Res, const CandidateOutcome &Out) {
   Res.SolverLpSolves += Out.LpSolves;
   Res.SolverSimplexIters += Out.SimplexIters;
   Res.SolverPivots += Out.Pivots;
-  Res.SolverBusySeconds += Out.BusySeconds;
-  Res.SolverWorkerSeconds += Out.WorkerSeconds;
-  Res.SolverSteals += Out.Steals;
   Res.SolverWarmStarts += Out.WarmStarts;
   Res.IIWallSeconds.push_back(Out.WallSeconds);
 }
@@ -212,14 +202,11 @@ sgpu::scheduleSwp(const StreamGraph &G, const SteadyState &SS,
     // ILP permission per slot mirrors the serial gate: along a failed
     // prefix every candidate costs one exact-solver attempt, so slot I
     // is allowed the ILP only while IlpAttempts + I stays under the cap.
-    // The branch & bound splits the engine's workers with the window.
-    int MilpWorkers = std::max(1, Workers / W);
     std::vector<CandidateOutcome> Outcomes(W);
     parallelFor(0, W, std::min(W, Workers), [&](int I) {
       Outcomes[I] = evaluateCandidate(G, SS, Config, GSS, Options,
                                       Candidates[I],
                                       IlpAttempts + I < Options.MaxIlpAttempts,
-                                      MilpWorkers,
                                       SeedBasis.empty() ? nullptr : &SeedBasis,
                                       Machine);
     });

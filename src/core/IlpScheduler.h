@@ -15,11 +15,11 @@
 /// heuristic — both deviations recorded in DESIGN.md.
 ///
 /// With NumWorkers > 1 the loop turns speculative: a window of
-/// consecutive candidate IIs is evaluated concurrently and the smallest
-/// feasible candidate is committed, discarding any larger II that
-/// happened to finish first — exactly the paper's "first feasible II
-/// wins" rule, just computed ahead of time (DESIGN.md "Solver
-/// engineering").
+/// consecutive candidate IIs is evaluated concurrently, one serial
+/// branch & bound each, and the smallest feasible candidate is
+/// committed, discarding any larger II that happened to finish first —
+/// exactly the paper's "first feasible II wins" rule, just computed
+/// ahead of time (DESIGN.md "Solver engineering").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,9 +62,9 @@ struct SchedulerOptions {
   /// Force the exact solver even when the heuristic already found a
   /// schedule at this II (used by the ILP-vs-heuristic ablation).
   bool IlpEvenIfHeuristicSucceeds = false;
-  /// Total workers for the scheduling engine: the speculative II window,
-  /// the branch & bound queue and the profiling sweep all draw from this
-  /// count. 0 resolves via SGPU_JOBS, then hardware_concurrency.
+  /// Total workers for the scheduling engine: the speculative II window
+  /// and the profiling sweep draw from this count. 0 resolves via
+  /// SGPU_JOBS, then hardware_concurrency.
   int NumWorkers = 0;
   /// Candidate IIs evaluated concurrently. 0 picks min(4, workers);
   /// 1 forces the serial one-II-at-a-time loop.
@@ -90,11 +90,6 @@ struct ScheduleResult {
   long long SolverLpSolves = 0;    ///< LP relaxations solved.
   long long SolverSimplexIters = 0;///< Simplex iterations (flips included).
   long long SolverPivots = 0;      ///< Simplex basis changes.
-  double SolverBusySeconds = 0.0;  ///< Sum of B&B worker busy time.
-  /// Sum of B&B worker drain-loop wall spans; utilization is
-  /// SolverBusySeconds / SolverWorkerSeconds (1.0 for one worker).
-  double SolverWorkerSeconds = 0.0;
-  long long SolverSteals = 0;      ///< B&B subproblems stolen across deques.
   long long SolverWarmStarts = 0;  ///< Node LPs resumed from a carried basis.
   int WorkersUsed = 1;             ///< Resolved engine worker count.
   std::vector<double> IIWallSeconds; ///< Wall time per candidate II tried.

@@ -90,18 +90,8 @@ std::string sgpu::reportToJson(const StreamGraph &G,
   W.writeInt("simplex_iterations", R.SchedStats.SolverSimplexIters);
   W.writeInt("pivots", R.SchedStats.SolverPivots);
   W.writeDouble("seconds", R.SchedStats.SolverSeconds);
-  W.writeDouble("busy_seconds", R.SchedStats.SolverBusySeconds);
-  W.writeDouble("worker_seconds", R.SchedStats.SolverWorkerSeconds);
   W.writeInt("workers", R.SchedStats.WorkersUsed);
-  W.writeInt("steals", R.SchedStats.SolverSteals);
   W.writeInt("warm_starts", R.SchedStats.SolverWarmStarts);
-  // Busy over per-worker drain-loop spans: ramp-up and drain idle is
-  // charged to the worker that sat idle, so one worker reads 1.0.
-  W.writeDouble("worker_utilization",
-                R.SchedStats.SolverWorkerSeconds > 0.0
-                    ? R.SchedStats.SolverBusySeconds /
-                          R.SchedStats.SolverWorkerSeconds
-                    : 0.0);
   W.beginArray("ii_wall_seconds");
   for (double S : R.SchedStats.IIWallSeconds)
     W.writeDouble(S);

@@ -3,18 +3,11 @@
 #include "ilp/BranchAndBound.h"
 
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <optional>
 
 using namespace sgpu;
 
@@ -38,7 +31,7 @@ struct BoundsPatch {
 /// root and serves as the node's deterministic id. Warm carries the
 /// parent relaxation's final basis: only bounds changed on the way
 /// down, so it stays dual feasible and the child LP is usually a few
-/// dual pivots (Simplex.h), independent of which worker runs the node.
+/// dual pivots (Simplex.h).
 struct Subproblem {
   std::vector<BoundsPatch> Patches;
   std::vector<uint8_t> Path;
@@ -54,10 +47,7 @@ public:
   MilpResult run(const std::optional<std::vector<double>> &Incumbent) {
     TraceSpan Span("bnb.solve", "ilp");
     Start = Clock::now();
-    int Workers = resolveWorkerCount(Opt.NumWorkers);
-    Span.argInt("workers", Workers);
     metricCounter("bnb.solves").add(1);
-    metricGauge("bnb.workers").set(Workers);
 
     if (Incumbent && Root.isFeasible(*Incumbent, Opt.IntegralityTol)) {
       Best = *Incumbent;
@@ -65,154 +55,47 @@ public:
       BestPath.clear();
       HaveBest = true;
       if (Opt.StopAtFirstFeasible)
-        return finish(MilpResult::Status::Optimal, Workers);
+        return finish(MilpResult::Status::Optimal);
     }
 
-    Deques.resize(Workers);
-    for (int W = 0; W < Workers; ++W)
-      Deques[W] = std::make_unique<WorkerDeque>();
-    {
-      Subproblem RootNode;
-      RootNode.Warm = Opt.WarmBasis;
-      Outstanding.store(1);
-      Queued.store(1);
-      std::lock_guard<std::mutex> Lock(Deques[0]->Mu);
-      Deques[0]->Dq.push_back(std::move(RootNode));
-    }
+    Subproblem RootNode;
+    RootNode.Warm = Opt.WarmBasis;
+    Stack.push_back(std::move(RootNode));
     CEnqueued.add(1);
 
-    if (Workers <= 1) {
-      workerLoop(0);
-    } else {
-      ThreadPool Pool(Workers);
-      for (int W = 0; W < Workers; ++W)
-        Pool.submit([this, W] { workerLoop(W); });
-      Pool.wait();
+    // Subproblem bounds are applied to this copy of the root LP before
+    // each relaxation and restored afterwards.
+    LinearProgram LP = Root;
+    while (!Stack.empty()) {
+      Subproblem Node = std::move(Stack.back());
+      Stack.pop_back();
+      processNode(LP, Node);
     }
+    Span.argInt("nodes", Nodes);
 
-    bool Complete = Outstanding.load() == 0 && !Truncated && !FoundStop;
+    bool Complete = !Truncated && !FoundStop;
     if (HaveBest)
       return finish(Complete ? MilpResult::Status::Optimal
-                             : MilpResult::Status::Feasible,
-                    Workers);
+                             : MilpResult::Status::Feasible);
     return finish(Complete ? MilpResult::Status::Infeasible
-                           : MilpResult::Status::BudgetExceeded,
-                  Workers);
+                           : MilpResult::Status::BudgetExceeded);
   }
 
 private:
-  struct WorkerDeque {
-    std::mutex Mu;
-    std::deque<Subproblem> Dq; ///< Owner works the back, thieves the front.
-  };
-
-  /// Pops from the worker's own deque (LIFO: the depth-first dive), or
-  /// steals the front — the shallowest node, hence the largest stealable
-  /// subtree — of a sibling's deque, scanning victims round-robin from
-  /// the worker's own index so the scan order is a pure function of the
-  /// worker id.
-  std::optional<Subproblem> takeWork(int Wi, long long &LocalSteals) {
-    {
-      WorkerDeque &D = *Deques[Wi];
-      std::lock_guard<std::mutex> Lock(D.Mu);
-      if (!D.Dq.empty()) {
-        Subproblem Node = std::move(D.Dq.back());
-        D.Dq.pop_back();
-        Queued.fetch_sub(1, std::memory_order_relaxed);
-        return Node;
-      }
-    }
-    int W = static_cast<int>(Deques.size());
-    for (int Off = 1; Off < W; ++Off) {
-      WorkerDeque &V = *Deques[(Wi + Off) % W];
-      std::lock_guard<std::mutex> Lock(V.Mu);
-      if (!V.Dq.empty()) {
-        Subproblem Node = std::move(V.Dq.front());
-        V.Dq.pop_front();
-        Queued.fetch_sub(1, std::memory_order_relaxed);
-        ++LocalSteals;
-        CSteals.add(1);
-        return Node;
-      }
-    }
-    return std::nullopt;
-  }
-
-  /// Each worker owns a private copy of the root LP; subproblem bounds
-  /// are applied before the relaxation and restored afterwards.
-  void workerLoop(int Wi) {
-    TraceSpan Span("bnb.worker", "ilp");
-    auto SpanStart = Clock::now();
-    LinearProgram LP = Root;
-    long long LocalLpSolves = 0, LocalIters = 0, LocalPivots = 0;
-    long long LocalNodes = 0, LocalSteals = 0, LocalWarm = 0;
-    double LocalIdle = 0.0;
-
-    for (;;) {
-      std::optional<Subproblem> Node = takeWork(Wi, LocalSteals);
-      if (!Node) {
-        auto IdleStart = Clock::now();
-        std::unique_lock<std::mutex> Lock(IdleMu);
-        if (StopAll.load() || Outstanding.load() == 0)
-          break;
-        IdleCv.wait(Lock, [this] {
-          return StopAll.load() || Outstanding.load() == 0 ||
-                 Queued.load(std::memory_order_relaxed) > 0;
-        });
-        LocalIdle += secondsSince(IdleStart);
-        continue;
-      }
-
-      processNode(LP, *Node, Wi, LocalLpSolves, LocalIters, LocalPivots,
-                  LocalWarm);
-      ++LocalNodes;
-
-      if (Outstanding.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> Lock(IdleMu);
-        IdleCv.notify_all();
-      }
-    }
-    // Busy time is the drain-loop span minus time spent blocked waiting
-    // for work: a worker that never waits — every single-worker search —
-    // reads utilization exactly 1.0, and any dip is genuine starvation.
-    double SpanSeconds = secondsSince(SpanStart);
-    double LocalBusy = std::max(0.0, SpanSeconds - LocalIdle);
-
-    Span.argInt("nodes", LocalNodes);
-    Span.argInt("steals", LocalSteals);
-    Span.argNum("busy_seconds", LocalBusy);
-
-    std::lock_guard<std::mutex> StatsLock(StatsMu);
-    LpSolves += LocalLpSolves;
-    SimplexIters += LocalIters;
-    SimplexPivots += LocalPivots;
-    BusySeconds += LocalBusy;
-    WorkerSeconds += SpanSeconds;
-    Steals += LocalSteals;
-    WarmLpStarts += LocalWarm;
-  }
-
-  void processNode(LinearProgram &LP, Subproblem &Node, int Wi,
-                   long long &LocalLpSolves, long long &LocalIters,
-                   long long &LocalPivots, long long &LocalWarm) {
-    if (StopAll)
-      return; // Raced with a cut; the caller still decrements Outstanding.
-    long long NodeNum = ++Nodes;
-    if (NodeNum > Opt.MaxNodes || timedOut()) {
+  void processNode(LinearProgram &LP, Subproblem &Node) {
+    if (++Nodes > Opt.MaxNodes || timedOut()) {
       cutSearch();
       return;
     }
 
     for (const BoundsPatch &P : Node.Patches)
       LP.setBounds(P.Var, P.Lo, P.Hi);
-    evaluate(LP, Node, Wi, LocalLpSolves, LocalIters, LocalPivots, LocalWarm);
+    evaluate(LP, Node);
     for (const BoundsPatch &P : Node.Patches)
       LP.setBounds(P.Var, Root.lowerBound(P.Var), Root.upperBound(P.Var));
   }
 
-  void evaluate(LinearProgram &LP, Subproblem &Node, int Wi,
-                long long &LocalLpSolves, long long &LocalIters,
-                long long &LocalPivots, long long &LocalWarm) {
+  void evaluate(LinearProgram &LP, Subproblem &Node) {
     double Remaining = Opt.TimeBudgetSeconds - secondsSince(Start);
     if (Remaining <= 0) {
       cutSearch();
@@ -221,11 +104,11 @@ private:
     LpResult R =
         solveLpRelaxation(LP, Opt.LpIterationLimit, Remaining,
                           Node.Warm.empty() ? nullptr : &Node.Warm);
-    ++LocalLpSolves;
-    LocalIters += R.Iterations;
-    LocalPivots += R.Pivots;
+    ++LpSolves;
+    SimplexIters += R.Iterations;
+    SimplexPivots += R.Pivots;
     if (!Node.Warm.empty() && R.StartKind != LpResult::Start::Cold)
-      ++LocalWarm;
+      ++WarmLpStarts;
     CSolved.add(1);
     if (R.Status == LpStatus::Infeasible) {
       CPrunedInfeas.add(1);
@@ -237,16 +120,13 @@ private:
       return;
     }
 
-    // Bound pruning against the shared incumbent. Feasibility-only
-    // models (empty objective) are pruned by the first-found incumbent:
-    // no node can improve on an objective of zero.
-    {
-      std::lock_guard<std::mutex> Lock(IncumbentMu);
-      if (HaveBest &&
-          (FeasibilityOnly || R.Objective >= BestObj - Opt.BoundPruneTol)) {
-        CPrunedBound.add(1);
-        return;
-      }
+    // Bound pruning against the incumbent. Feasibility-only models
+    // (empty objective) are pruned by the first-found incumbent: no node
+    // can improve on an objective of zero.
+    if (HaveBest &&
+        (FeasibilityOnly || R.Objective >= BestObj - Opt.BoundPruneTol)) {
+      CPrunedBound.add(1);
+      return;
     }
 
     // Find the most fractional integer variable.
@@ -307,29 +187,17 @@ private:
     if (Pushed == 2)
       Children[0].Warm = R.Basis;
     Children[Pushed - 1].Warm = std::move(R.Basis);
-
-    Outstanding.fetch_add(Pushed);
-    Queued.fetch_add(Pushed, std::memory_order_relaxed);
-    {
-      WorkerDeque &D = *Deques[Wi];
-      std::lock_guard<std::mutex> Lock(D.Mu);
-      for (int I = 0; I < Pushed; ++I)
-        D.Dq.push_back(std::move(Children[I]));
-    }
+    for (int I = 0; I < Pushed; ++I)
+      Stack.push_back(std::move(Children[I]));
     CEnqueued.add(Pushed);
-    if (static_cast<int>(Deques.size()) > 1) {
-      std::lock_guard<std::mutex> Lock(IdleMu);
-      IdleCv.notify_all();
-    }
   }
 
-  /// Installs a new incumbent under the shared lock. Ties on objective
-  /// break towards the lexicographically smallest branch path, so the
-  /// reported objective — and, when the search runs to completion, the
-  /// chosen incumbent — do not depend on worker timing or steal order.
+  /// Installs a new incumbent. Ties on objective break towards the
+  /// lexicographically smallest branch path, so the chosen incumbent is
+  /// a function of the search tree alone, not of the order in which
+  /// equal-objective leaves are reached.
   void offerIncumbent(std::vector<double> X, double Obj,
                       const std::vector<uint8_t> &Path) {
-    std::lock_guard<std::mutex> Lock(IncumbentMu);
     bool Better = !HaveBest || Obj < BestObj - 1e-12 ||
                   (Obj <= BestObj + 1e-12 && Path < BestPath);
     if (Better) {
@@ -345,49 +213,29 @@ private:
     }
   }
 
-  /// Stops all workers: pending subproblems in every deque are dropped
-  /// (the search is recorded as truncated unless the stop came from
-  /// StopAtFirstFeasible).
+  /// Ends the search: pending subproblems are dropped (the search is
+  /// recorded as truncated unless the stop came from StopAtFirstFeasible).
+  /// Every caller returns without pushing children, so the drain loop
+  /// finds the stack empty and stops.
   void cutSearch() {
     if (!FoundStop)
       Truncated = true;
-    bool First = !StopAll.exchange(true);
-    long long Dropped = 0;
-    for (auto &D : Deques) {
-      std::lock_guard<std::mutex> Lock(D->Mu);
-      Dropped += static_cast<long long>(D->Dq.size());
-      D->Dq.clear();
-    }
-    if (Dropped > 0) {
-      Outstanding.fetch_sub(Dropped);
-      Queued.fetch_sub(Dropped, std::memory_order_relaxed);
-    }
-    if (First)
-      CCuts.add(1);
-    {
-      std::lock_guard<std::mutex> Lock(IdleMu);
-    }
-    IdleCv.notify_all();
+    Stack.clear();
+    CCuts.add(1);
   }
 
   bool timedOut() const { return secondsSince(Start) > Opt.TimeBudgetSeconds; }
 
-  MilpResult finish(MilpResult::Status S, int Workers) {
+  MilpResult finish(MilpResult::Status S) {
     MilpResult Res;
     Res.Outcome = S;
-    Res.NodesExplored = static_cast<int>(Nodes.load());
+    Res.NodesExplored = Nodes;
     Res.Seconds = secondsSince(Start);
-    Res.LpSolves = static_cast<int>(LpSolves);
+    Res.LpSolves = LpSolves;
     Res.SimplexIterations = SimplexIters;
     Res.Pivots = SimplexPivots;
-    Res.WorkersUsed = Workers;
-    Res.BusySeconds = BusySeconds;
-    Res.WorkerSeconds = WorkerSeconds;
-    Res.Steals = Steals;
     Res.WarmLpStarts = WarmLpStarts;
     metricHistogram("bnb.solve.seconds").record(Res.Seconds);
-    metricHistogram("bnb.busy.seconds").record(BusySeconds);
-    metricHistogram("bnb.worker.seconds").record(WorkerSeconds);
     if (HaveBest) {
       Res.X = Best;
       Res.Objective = BestObj;
@@ -403,32 +251,19 @@ private:
   bool FeasibilityOnly;
   Clock::time_point Start;
 
-  // Work-stealing deques, one per worker. Outstanding counts queued +
-  // in-flight nodes across all deques; the search is drained when it
-  // reaches zero. Queued is a wake hint for idle workers.
-  std::vector<std::unique_ptr<WorkerDeque>> Deques;
-  std::atomic<long long> Outstanding{0};
-  std::atomic<long long> Queued{0};
-  std::mutex IdleMu;
-  std::condition_variable IdleCv;
-  std::atomic<bool> StopAll{false};
+  /// Pending subproblems, drained LIFO: a depth-first dive.
+  std::vector<Subproblem> Stack;
+  bool Truncated = false;
+  bool FoundStop = false;
 
-  // Shared incumbent.
-  std::mutex IncumbentMu;
   bool HaveBest = false;
   std::vector<double> Best;
   std::vector<uint8_t> BestPath;
   double BestObj = 0.0;
 
-  std::atomic<long long> Nodes{0};
-  std::atomic<bool> Truncated{false};
-  std::atomic<bool> FoundStop{false};
-
-  std::mutex StatsMu;
-  long long LpSolves = 0, SimplexIters = 0, SimplexPivots = 0;
-  long long Steals = 0, WarmLpStarts = 0;
-  double BusySeconds = 0.0;
-  double WorkerSeconds = 0.0;
+  int Nodes = 0;
+  int LpSolves = 0;
+  long long SimplexIters = 0, SimplexPivots = 0, WarmLpStarts = 0;
 
   // Node-lifecycle counters in the process-wide registry. Looked up once
   // per search; the references stay valid across MetricsRegistry::reset().
@@ -438,7 +273,6 @@ private:
   Counter &CPrunedBound = metricCounter("bnb.pruned_bound");
   Counter &CIncumbents = metricCounter("bnb.incumbents");
   Counter &CCuts = metricCounter("bnb.budget_cuts");
-  Counter &CSteals = metricCounter("bnb.steals");
 };
 
 } // namespace

@@ -13,22 +13,15 @@
 /// scheduler) so the search starts with a bound and, for pure
 /// feasibility problems, can return immediately.
 ///
-/// Each worker owns a deque of subproblems drained LIFO (depth-first
-/// dive; a single worker reproduces the serial order exactly) and
-/// steals the shallowest — largest — subtree from a sibling when its
-/// own deque runs dry, so deep dives spawn stealable work instead of
-/// funnelling through one shared queue. Every node carries its parent's
-/// optimal basis: bound changes leave the basis dual feasible, so the
-/// child's relaxation is a few dual simplex pivots instead of a solve
-/// from scratch (Simplex.h).
-///
-/// The incumbent is shared under a mutex so bound pruning on any worker
-/// sees the best objective found anywhere. Every subproblem carries its
-/// branch path as a deterministic node id: among equal-objective
-/// incumbents the lexicographically smallest path wins, making the
-/// reported objective (and, for exhaustive searches, the incumbent
-/// choice) independent of worker timing and steal order. Time/node
-/// budgets are global across workers.
+/// The search is a serial depth-first dive over an explicit LIFO stack:
+/// of the two children of a node, the side nearer the fractional value
+/// is explored first. Every node carries its parent's optimal basis:
+/// bound changes leave the basis dual feasible, so the child's
+/// relaxation is a few dual simplex pivots instead of a solve from
+/// scratch (Simplex.h). Every subproblem carries its branch path as a
+/// node id: among equal-objective incumbents the lexicographically
+/// smallest path wins. Node, simplex-iteration and wall-clock budgets
+/// cut the search.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +37,7 @@ namespace sgpu {
 /// Knobs for the MILP search.
 struct MilpOptions {
   double TimeBudgetSeconds = 2.0;  ///< Wall-clock budget (paper: 20 s).
-  int MaxNodes = 200000;           ///< Branch & bound node cap (global).
+  int MaxNodes = 200000;           ///< Branch & bound node cap.
   int LpIterationLimit = 50000;    ///< Simplex iteration cap per node.
   double IntegralityTol = 1e-6;
   /// Slack when pruning a node whose relaxation bound cannot beat the
@@ -54,9 +47,6 @@ struct MilpOptions {
   /// formulation "is a constraint problem, rather than an optimization
   /// problem" — Section IV-B).
   bool StopAtFirstFeasible = true;
-  /// Workers draining the subproblem deques. 1 keeps the search on the
-  /// calling thread; 0 resolves via SGPU_JOBS / hardware_concurrency.
-  int NumWorkers = 1;
   /// Warm-start basis for the root relaxation (e.g. the II search's
   /// seed solve at MII); empty means a cold root. Children always
   /// inherit their parent's final basis regardless.
@@ -78,19 +68,11 @@ struct MilpResult {
   int NodesExplored = 0;
   double Seconds = 0.0;
 
-  // Solver-core telemetry, aggregated across all workers.
+  // Solver-core telemetry.
   int LpSolves = 0;               ///< LP relaxations solved.
   long long SimplexIterations = 0; ///< Simplex iterations (flips included).
   long long Pivots = 0;           ///< Simplex basis changes.
-  int WorkersUsed = 1;            ///< Workers that drained the deques.
-  /// Sum over workers of time spent processing subproblems.
-  double BusySeconds = 0.0;
-  /// Sum over workers of each worker's wall-clock span inside its drain
-  /// loop (ramp-up/steal/drain idle included); utilization is
-  /// BusySeconds / WorkerSeconds, which reads 1.0 for a single worker.
-  double WorkerSeconds = 0.0;
-  long long Steals = 0;        ///< Subproblems taken from another deque.
-  long long WarmLpStarts = 0;  ///< Node LPs warm-started (incl. repaired).
+  long long WarmLpStarts = 0;     ///< Node LPs warm-started (incl. repaired).
 
   bool hasSolution() const {
     return Outcome == Status::Optimal || Outcome == Status::Feasible;

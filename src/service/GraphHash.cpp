@@ -125,12 +125,12 @@ std::string canonicalizeOptions(const CompileOptions &O) {
   appendf(Out,
           "arch sms=%d su=%d warp=%d tpsm=%d tpb=%d bpsm=%d regs=%d "
           "shmem=%" PRId64 " clk=%a lat=%d cpt=%a cwi=%a sfu=%a mlp=%a "
-          "launch=%" PRId64 "\n",
+          "launch=%" PRId64 " dram=%" PRId64 "\n",
           A.NumSMs, A.ScalarUnitsPerSM, A.WarpSize, A.MaxThreadsPerSM,
           A.MaxThreadsPerBlock, A.MaxBlocksPerSM, A.RegistersPerSM,
           A.SharedMemPerSM, A.CoreClockGHz, A.MemLatencyCycles,
           A.ChipCyclesPerTxn, A.CyclesPerWarpInstr, A.SfuCyclesPerWarpInstr,
-          A.MemoryLevelParallelism, A.KernelLaunchCycles);
+          A.MemoryLevelParallelism, A.KernelLaunchCycles, A.DramBytes);
 
   const SchedulerOptions &S = O.Sched;
   appendf(Out,
@@ -149,9 +149,11 @@ std::string canonicalizeOptions(const CompileOptions &O) {
           C.ClockGHz, C.CyclesPerAluOp, C.CyclesPerTransc,
           C.CyclesPerChannelOp, C.CyclesPerFiring, C.NumCores,
           C.CacheBytesPerCore);
-  // NumWorkers and IIWindow are intentionally absent: the engine is
-  // result-deterministic across worker counts (solver_parallel_test,
-  // cyclesim determinism tests), so they must not split the key space.
+  // NumWorkers and IIWindow are intentionally absent: the speculative
+  // II window commits the same II as the serial loop and the profile
+  // sweep fills the same table at any worker count (the SpeculativeII
+  // and ParallelProfiler tests, cyclesim determinism tests), so they
+  // must not split the key space.
   return Out;
 }
 

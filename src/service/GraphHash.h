@@ -52,7 +52,10 @@ namespace service {
 /// v4: machine= (gpu/hybrid) plus the CPU core count and per-core cache
 /// budget joined the canonical options — hybrid schedules assign
 /// instances to CPU cores, so gpu-mode keys must not alias them.
-constexpr int kCanonicalFormVersion = 4;
+/// v5: dram= (GpuArch::DramBytes) joined the arch line — the hybrid
+/// memory bound changes the answer, so machines that differ only in
+/// device memory must not share a key.
+constexpr int kCanonicalFormVersion = 5;
 
 /// Renders \p G in the canonical name-free text form described above.
 std::string canonicalizeGraph(const StreamGraph &G);

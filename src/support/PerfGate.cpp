@@ -15,7 +15,7 @@ MetricClass sgpu::classifyMetric(std::string_view Name) {
     return Name.size() >= Suffix.size() &&
            Name.substr(Name.size() - Suffix.size()) == Suffix;
   };
-  if (EndsWith(".seconds") || EndsWith("utilization"))
+  if (EndsWith(".seconds"))
     return MetricClass::Time;
   if (Name == "final_ii" || Name == "speedup")
     return MetricClass::Quality;

@@ -14,7 +14,7 @@
 ///            nodes, II candidates, buffer bytes...) — gated strictly;
 ///   Quality  schedule quality (final II, modelled speedup) — gated
 ///            tightest, a change here means the compiler got worse;
-///   Time     wall-clock (stage.*.seconds, utilization) — reported and
+///   Time     wall-clock (stage.*.seconds) — reported and
 ///            compared, but only *gating* when GateTimes is set, because
 ///            CI machines differ from the machines baselines were
 ///            recorded on.
@@ -54,7 +54,7 @@ struct PerfThresholds {
 
 enum class MetricClass : uint8_t { Count, Quality, Time };
 
-/// Classifies by name: "*.seconds" / "*utilization" are Time,
+/// Classifies by name: "*.seconds" are Time,
 /// "final_ii" / "speedup" are Quality, everything else Count.
 MetricClass classifyMetric(std::string_view Name);
 

@@ -7,9 +7,8 @@
 ///
 /// \file
 /// A small fixed-size worker pool shared by the parallel layers of the
-/// scheduling engine: the branch & bound drains its subproblem queue
-/// through one, the II search evaluates a window of candidate IIs on
-/// one, and the profiler sweeps filters×configs cells on one. Tasks are
+/// scheduling engine: the II search evaluates a window of candidate IIs
+/// on one, and the profiler sweeps filters×configs cells on one. Tasks are
 /// plain std::function thunks; wait() gives a barrier so callers can use
 /// the pool as a scoped fork/join region. Worker counts resolve through
 /// resolveWorkerCount(): an explicit request wins, then the SGPU_JOBS

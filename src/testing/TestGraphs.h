@@ -7,9 +7,8 @@
 ///
 /// \file
 /// Small filters and graphs reused across the unit tests and the fuzzing
-/// harness. Promoted from tests/TestGraphs.h so the src/testing library
-/// (GraphGen/Oracles/Reducer) and the test binaries share one set of
-/// fixtures.
+/// harness: the src/testing library (GraphGen/Oracles/Reducer) and the
+/// test binaries share one set of fixtures.
 ///
 //===----------------------------------------------------------------------===//
 

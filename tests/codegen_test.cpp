@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "TestGraphs.h"
+#include "testing/TestGraphs.h"
 
 using namespace sgpu;
 using namespace sgpu::testing;

@@ -11,7 +11,7 @@
 
 #include "gpusim/cyclesim/CycleSim.h"
 
-#include "TestGraphs.h"
+#include "testing/TestGraphs.h"
 #include "gpusim/cyclesim/Coalescer.h"
 #include "gpusim/cyclesim/WarpProgram.h"
 #include "layout/AccessAnalyzer.h"

@@ -369,38 +369,6 @@ LinearProgram makeBranchyMilp(int Items) {
 
 } // namespace
 
-TEST(MilpParallel, MatchesSerialObjective) {
-  MilpOptions Serial;
-  Serial.StopAtFirstFeasible = false;
-  Serial.NumWorkers = 1;
-  MilpResult S = solveMilp(makePackingMilp(16), Serial);
-  ASSERT_TRUE(S.hasSolution());
-  EXPECT_EQ(S.Outcome, MilpResult::Status::Optimal);
-
-  for (int Workers : {2, 4}) {
-    MilpOptions Par = Serial;
-    Par.NumWorkers = Workers;
-    MilpResult P = solveMilp(makePackingMilp(16), Par);
-    ASSERT_TRUE(P.hasSolution());
-    EXPECT_EQ(P.Outcome, MilpResult::Status::Optimal);
-    EXPECT_NEAR(P.Objective, S.Objective, 1e-9);
-    EXPECT_EQ(P.WorkersUsed, Workers);
-  }
-}
-
-TEST(MilpParallel, RepeatedRunsAreDeterministic) {
-  MilpOptions MO;
-  MO.StopAtFirstFeasible = false;
-  MO.NumWorkers = 4;
-  MilpResult First = solveMilp(makePackingMilp(14), MO);
-  ASSERT_TRUE(First.hasSolution());
-  for (int Run = 0; Run < 4; ++Run) {
-    MilpResult R = solveMilp(makePackingMilp(14), MO);
-    ASSERT_TRUE(R.hasSolution());
-    EXPECT_NEAR(R.Objective, First.Objective, 1e-9);
-  }
-}
-
 TEST(MilpParallel, FeasibilityModelPrunedByFirstIncumbent) {
   // Pure feasibility (empty objective): once any incumbent exists every
   // remaining node is pruned, even with StopAtFirstFeasible off.
@@ -444,12 +412,8 @@ TEST(MilpParallel, SolverTelemetryIsPopulated) {
   EXPECT_GT(R.NodesExplored, 1); // Fractional relaxation: it branches.
   EXPECT_GE(R.LpSolves, R.NodesExplored / 2); // Most nodes solve an LP.
   EXPECT_GE(R.SimplexIterations, R.Pivots);
-  EXPECT_GT(R.BusySeconds, 0.0);
-  EXPECT_EQ(R.WorkersUsed, 1);
-  // Per-worker drain-loop spans bound busy time, and every non-root
-  // node carries its parent's basis, so most node LPs warm-start.
-  EXPECT_GE(R.WorkerSeconds, R.BusySeconds);
-  EXPECT_EQ(R.Steals, 0); // One worker has nobody to steal from.
+  // Every non-root node carries its parent's basis, so most node LPs
+  // warm-start.
   EXPECT_GT(R.WarmLpStarts, 0);
 }
 
@@ -491,7 +455,7 @@ TEST(LinearProgram, FeasibilityChecker) {
 
 #include "core/IlpFormulation.h"
 
-#include "TestGraphs.h"
+#include "testing/TestGraphs.h"
 
 namespace {
 

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "TestGraphs.h"
+#include "testing/TestGraphs.h"
 
 using namespace sgpu;
 using namespace sgpu::testing;

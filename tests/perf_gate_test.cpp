@@ -76,8 +76,6 @@ TEST(PerfGate, MetricClassification) {
   EXPECT_EQ(classifyMetric("buffer_bytes"), MetricClass::Count);
   EXPECT_EQ(classifyMetric("stage.compile.total.seconds"),
             MetricClass::Time);
-  EXPECT_EQ(classifyMetric("solver.worker_utilization"),
-            MetricClass::Time);
   EXPECT_EQ(classifyMetric("final_ii"), MetricClass::Quality);
   EXPECT_EQ(classifyMetric("speedup"), MetricClass::Quality);
   EXPECT_TRUE(metricBiggerIsBetter("speedup"));

@@ -23,7 +23,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "TestGraphs.h"
+#include "testing/TestGraphs.h"
 
 using namespace sgpu;
 using namespace sgpu::testing;

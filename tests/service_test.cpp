@@ -12,6 +12,7 @@
 
 #include "service/Service.h"
 
+#include "benchmarks/Registry.h"
 #include "parser/Parser.h"
 #include "service/GraphHash.h"
 #include "service/Protocol.h"
@@ -211,6 +212,24 @@ TEST(GraphHash, SchemaModeSplitsTheKeyAndV2EnvelopesInvalidate) {
   EXPECT_TRUE(C.lookup(V3Key).has_value());
   EXPECT_FALSE(C.lookup(V2Key).has_value())
       << "a v2-era envelope aliased a v3 entry";
+}
+
+// A hybrid machine bounds each SM's coarsening by its share of device
+// memory, so DramBytes changes the answer (DCT deploys SWP8 at 512 MiB
+// and SWP1 at 1 MiB). Machines that differ only there must not share a
+// cache entry.
+TEST(GraphHash, DramBytesSplitsTheKeyOfAHybridCompile) {
+  const bench::BenchmarkSpec *Dct = bench::findBenchmark("DCT");
+  ASSERT_NE(Dct, nullptr);
+  StreamPtr Program = Dct->Build();
+  StreamGraph G = flatten(*Program);
+
+  CompileOptions Big;
+  Big.Machine = MachineMode::Hybrid;
+  Big.Arch.DramBytes = 512ll << 20;
+  CompileOptions Small = Big;
+  Small.Arch.DramBytes = 1ll << 20;
+  EXPECT_NE(graphHash(G, Big), graphHash(G, Small));
 }
 
 TEST(GraphHash, OptionSpellingsCanonicalizeThroughTheCliParser) {

@@ -1,11 +1,11 @@
 //===- tests/solver_parallel_test.cpp - Parallel engine determinism ---------===//
 //
 // Covers the parallel scheduling engine end to end: the ThreadPool /
-// parallelFor primitives, determinism of the multithreaded branch &
-// bound against the single-threaded search on ILPs built from the seed
-// test graphs, the speculative-II window committing the same FinalII as
-// the serial loop, and the parallel profiling sweep producing a table
-// identical to the serial one.
+// parallelFor primitives, exact search counts of the serial branch &
+// bound on ILPs built from the seed test graphs, the speculative-II
+// window committing the same FinalII as the serial loop, and the
+// parallel profiling sweep producing a table identical to the serial
+// one.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,7 @@
 #include <numeric>
 #include <vector>
 
-#include "TestGraphs.h"
+#include "testing/TestGraphs.h"
 
 using namespace sgpu;
 using namespace sgpu::testing;
@@ -100,57 +100,56 @@ TEST(ThreadPool, ParallelForEmptyRange) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel B&B determinism on scheduling ILPs from the seed graphs
+// Serial B&B search pins on scheduling ILPs from the seed graphs
 //===----------------------------------------------------------------------===//
 
 namespace {
 
+struct SearchCounts {
+  int Nodes;
+  int LpSolves;
+  long long Pivots;
+};
+
 /// Builds the paper's SWP ILP for \p G at a comfortably feasible II and
-/// solves it to proven optimality serially and with 4 workers; the
-/// optimal objective is unique, so exhaustive searches must agree
-/// exactly. (StopAtFirstFeasible is intentionally off: first-feasible
-/// semantics are first-found by design and therefore racy in parallel.)
-void expectParallelMatchesSerialOnGraph(StreamGraph G, int Pmax) {
+/// solves it to proven optimality. The depth-first order, the warm bases
+/// the children inherit and the incumbent tie-break are all fixed, so
+/// the search must visit exactly \p Want nodes, LPs and pivots on every
+/// run; any drift means the search order or the simplex changed.
+void expectSerialSearchCounts(StreamGraph G, int Pmax, SearchCounts Want) {
   Prepared P = prepare(std::move(G));
   double T = 2.0 * computeResMII(P.Config, P.GSS, Pmax);
   auto M = buildSwpIlp(P.G, P.SS, P.Config, P.GSS, Pmax, T, 16);
   ASSERT_TRUE(M.has_value());
 
-  MilpOptions Serial;
-  Serial.TimeBudgetSeconds = 60.0;
-  Serial.StopAtFirstFeasible = false;
-  Serial.NumWorkers = 1;
-  MilpResult S = solveMilp(M->LP, Serial);
-  EXPECT_EQ(S.Outcome, MilpResult::Status::Optimal)
-      << "exhaustive search truncated; determinism not guaranteed";
+  MilpOptions MO;
+  MO.TimeBudgetSeconds = 60.0;
+  MO.StopAtFirstFeasible = false;
+  MilpResult R = solveMilp(M->LP, MO);
+  EXPECT_EQ(R.Outcome, MilpResult::Status::Optimal)
+      << "exhaustive search truncated; counts are not comparable";
+  EXPECT_EQ(R.NodesExplored, Want.Nodes);
+  EXPECT_EQ(R.LpSolves, Want.LpSolves);
+  EXPECT_EQ(R.Pivots, Want.Pivots);
 
-  MilpOptions Par = Serial;
-  Par.NumWorkers = 4;
-  MilpResult Q = solveMilp(M->LP, Par);
-
-  EXPECT_EQ(S.hasSolution(), Q.hasSolution());
-  ASSERT_TRUE(S.hasSolution());
-  EXPECT_NEAR(S.Objective, Q.Objective, 1e-9);
-  // Both solutions must decode to verifiable schedules.
-  for (const MilpResult *R : {&S, &Q}) {
-    SwpSchedule Sched = M->decode(R->X);
-    auto Err = verifySchedule(P.G, P.SS, P.Config, P.GSS, Sched);
-    EXPECT_FALSE(Err.has_value()) << *Err;
-  }
+  ASSERT_TRUE(R.hasSolution());
+  SwpSchedule Sched = M->decode(R.X);
+  auto Err = verifySchedule(P.G, P.SS, P.Config, P.GSS, Sched);
+  EXPECT_FALSE(Err.has_value()) << *Err;
 }
 
 } // namespace
 
-TEST(ParallelBnb, MatchesSerialOnScalePipeline) {
-  expectParallelMatchesSerialOnGraph(makeScalePipeline(), 2);
+TEST(SerialBnb, PinnedCountsOnScalePipeline) {
+  expectSerialSearchCounts(makeScalePipeline(), 2, {1, 1, 6});
 }
 
-TEST(ParallelBnb, MatchesSerialOnFig4Graph) {
-  expectParallelMatchesSerialOnGraph(makeFig4Graph(), 4);
+TEST(SerialBnb, PinnedCountsOnFig4Graph) {
+  expectSerialSearchCounts(makeFig4Graph(), 4, {211, 211, 538});
 }
 
-TEST(ParallelBnb, MatchesSerialOnDupSplitGraph) {
-  expectParallelMatchesSerialOnGraph(makeDupSplitGraph(), 4);
+TEST(SerialBnb, PinnedCountsOnDupSplitGraph) {
+  expectSerialSearchCounts(makeDupSplitGraph(), 4, {5829, 5829, 15363});
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,7 +15,7 @@
 
 #include <algorithm>
 
-#include "TestGraphs.h"
+#include "testing/TestGraphs.h"
 
 using namespace sgpu;
 using namespace sgpu::testing;

@@ -2,8 +2,8 @@
 //
 // Replays the paper's eight Table I benchmarks through the SWP compiler,
 // collects the pipeline metrics registry around each compile (per-stage
-// wall time, simplex pivots, B&B node lifecycle, II candidates, worker
-// utilization, schedule quality) and compares the counts against a
+// wall time, simplex pivots, B&B node lifecycle, II candidates, schedule
+// quality) and compares the counts against a
 // checked-in baseline with per-class relative thresholds. CI runs this
 // after the Release build and fails the PR on regression; the emitted
 // perf_report.json is uploaded as an artifact either way.
@@ -58,12 +58,11 @@ bool startsWith(const char *Arg, const char *Prefix) {
 }
 
 /// Compiles one benchmark with the gate's fixed configuration and turns
-/// the registry delta into a sample. Two choices make every Count-class
-/// metric deterministic run to run (only wall times vary): the worker
-/// split (4 engine workers over a full II window) leaves each MILP
-/// single-threaded, and the solver is cut on a node budget instead of
-/// the default wall-clock budget, so hard searches (Bitonic, DES) stop
-/// at the same node on any machine.
+/// the registry delta into a sample. Every Count-class metric is
+/// deterministic run to run (only wall times vary): each MILP is a
+/// serial search, and it is cut on a node budget instead of the default
+/// wall-clock budget, so hard searches (Bitonic, DES) stop at the same
+/// node on any machine.
 PerfSample measureBenchmark(const BenchmarkSpec &Spec, int Jobs) {
   MetricsRegistry::global().reset();
 
@@ -124,12 +123,6 @@ PerfSample measureBenchmark(const BenchmarkSpec &Spec, int Jobs) {
   S.Metrics["speedup"] = R->Speedup;
   S.Metrics["cyclesim.kernel_cycles"] = Sim.TotalCycles;
   S.Metrics["buffer_bytes"] = static_cast<double>(R->BufferBytes);
-  // Busy time over summed per-worker drain-loop spans (MilpResult
-  // docs): 1.0 for a single-worker solve, dips only for real idling.
-  S.Metrics["solver.worker_utilization"] =
-      R->SchedStats.SolverWorkerSeconds > 0.0
-          ? R->SchedStats.SolverBusySeconds / R->SchedStats.SolverWorkerSeconds
-          : 0.0;
   return S;
 }
 
@@ -185,12 +178,11 @@ int main(int argc, char **argv) {
   for (const BenchmarkSpec &Spec : allBenchmarks()) {
     PerfSample S = measureBenchmark(Spec, Jobs);
     std::printf("%-12s pivots=%-8.0f bnb_nodes=%-6.0f ii=%-8.4g "
-                "speedup=%-7.4g stage_s=%.3f util=%.2f\n",
+                "speedup=%-7.4g stage_s=%.3f\n",
                 S.Name.c_str(), S.Metrics["simplex.pivots"],
                 S.Metrics["bnb.nodes_solved"], S.Metrics["final_ii"],
                 S.Metrics["speedup"],
-                S.Metrics["stage.compile.total.seconds"],
-                S.Metrics["solver.worker_utilization"]);
+                S.Metrics["stage.compile.total.seconds"]);
     Measured.push_back(std::move(S));
   }
 
